@@ -39,8 +39,10 @@ impl PositionalHistogram {
     /// Adds word-aligned `text` (byte `i` counts toward position
     /// `i mod 4`).
     pub fn update(&mut self, text: &[u8]) {
-        for (i, &b) in text.iter().enumerate() {
-            self.positions[i % POSITIONS].update(&[b]);
+        for word in text.chunks(POSITIONS) {
+            for (histogram, &b) in self.positions.iter_mut().zip(word) {
+                histogram.counts[b as usize] += 1;
+            }
         }
     }
 
@@ -238,6 +240,21 @@ mod tests {
         assert_eq!(h.position(0).count(0xAA), 100);
         assert_eq!(h.position(0).count(0xBB), 0);
         assert_eq!(h.position(3).count(0xDD), 100);
+    }
+
+    #[test]
+    fn update_attributes_every_byte_to_its_offset() {
+        // Odd length: the trailing partial word still counts.
+        let text = structured_text(301, 5);
+        let text = &text[..text.len() - 3];
+        let h = PositionalHistogram::of(text);
+        let mut expected: [ByteHistogram; POSITIONS] = Default::default();
+        for (i, &b) in text.iter().enumerate() {
+            expected[i % POSITIONS].update(&[b]);
+        }
+        for (p, e) in expected.iter().enumerate() {
+            assert_eq!(h.position(p), e);
+        }
     }
 
     #[test]

@@ -125,13 +125,25 @@ pub struct CosimVariant {
 /// or the *reference* machine faulted / exceeded `max_steps`, which
 /// means the generated program itself is invalid.
 pub fn run_cosim(image: &ProgramImage, max_steps: u64) -> Result<CosimVerdict, String> {
-    run_cosim_with(image, standard_variants(image)?, max_steps)
+    run_cosim_on(image, &build_rom(image)?, max_steps)
+}
+
+/// [`run_cosim`] around an already-built `rom` (`image`'s [`build_rom`]
+/// ROM), so a trial can reuse it for the refill-invariant sweep.
+pub(crate) fn run_cosim_on(
+    image: &ProgramImage,
+    rom: &CompressedImage,
+    max_steps: u64,
+) -> Result<CosimVerdict, String> {
+    run_cosim_with(image, standard_variants(image, rom)?, max_steps)
 }
 
 /// The standard variant matrix shared by [`run_cosim`] and the segmented
-/// runner.
-pub(crate) fn standard_variants(image: &ProgramImage) -> Result<Vec<CosimVariant>, String> {
-    let rom = build_rom(image)?;
+/// runner, around `image`'s [`build_rom`] ROM.
+pub(crate) fn standard_variants(
+    image: &ProgramImage,
+    rom: &CompressedImage,
+) -> Result<Vec<CosimVariant>, String> {
     let v1 = CompressedImage::from_bytes(&rom.to_bytes())
         .map_err(|e| format!("v1 container round-trip failed: {e}"))?;
     let v2 = CompressedImage::from_bytes(&rom.to_bytes_v2())
@@ -156,7 +168,7 @@ pub(crate) fn standard_variants(image: &ProgramImage) -> Result<Vec<CosimVariant
     Ok(vec![
         CosimVariant {
             label: "direct-abort",
-            rom,
+            rom: rom.clone(),
             policy: DegradePolicy::Abort,
         },
         CosimVariant {

@@ -129,7 +129,14 @@ pub fn run_trial(seed: u64) -> TrialReport {
     };
     report.text_bytes = u64::from(image.text_size());
     report.lat_entries = u64::from(image.text_lines().div_ceil(8));
-    match run_cosim(&image, TRIAL_MAX_STEPS) {
+    let rom = match build_rom(&image) {
+        Ok(rom) => rom,
+        Err(err) => {
+            report.outcome = TrialOutcome::GenFailure(err);
+            return report;
+        }
+    };
+    match cosim::run_cosim_on(&image, &rom, TRIAL_MAX_STEPS) {
         Err(err) => {
             report.outcome = TrialOutcome::GenFailure(err);
             return report;
@@ -152,18 +159,7 @@ pub fn run_trial(seed: u64) -> TrialReport {
             report.instructions = instructions;
         }
     }
-    match build_rom(&image) {
-        Ok(rom) => {
-            let timing = check_refill_invariants(&rom);
-            report.refills = timing.refills;
-            if !timing.clean() {
-                report.outcome = TrialOutcome::TimingViolation(timing.violations.join("; "));
-            }
-        }
-        Err(err) => {
-            report.outcome = TrialOutcome::GenFailure(err);
-        }
-    }
+    sweep_invariants(&mut report, &rom);
     report
 }
 
@@ -193,7 +189,14 @@ pub fn run_trial_segmented(seed: u64, every: u64) -> TrialReport {
     };
     report.text_bytes = u64::from(image.text_size());
     report.lat_entries = u64::from(image.text_lines().div_ceil(8));
-    match run_cosim_segmented(&image, TRIAL_MAX_STEPS, every) {
+    let rom = match build_rom(&image) {
+        Ok(rom) => rom,
+        Err(err) => {
+            report.outcome = TrialOutcome::GenFailure(err);
+            return report;
+        }
+    };
+    match segmented::run_cosim_segmented_on(&image, &rom, TRIAL_MAX_STEPS, every) {
         Err(err) => {
             report.outcome = TrialOutcome::GenFailure(err);
             return report;
@@ -221,19 +224,18 @@ pub fn run_trial_segmented(seed: u64, every: u64) -> TrialReport {
             }
         }
     }
-    match build_rom(&image) {
-        Ok(rom) => {
-            let timing = check_refill_invariants(&rom);
-            report.refills = timing.refills;
-            if !timing.clean() {
-                report.outcome = TrialOutcome::TimingViolation(timing.violations.join("; "));
-            }
-        }
-        Err(err) => {
-            report.outcome = TrialOutcome::GenFailure(err);
-        }
-    }
+    sweep_invariants(&mut report, &rom);
     report
+}
+
+/// Sweeps the refill timing invariants over the trial's ROM — the same
+/// one its lockstep variants were built around — into `report`.
+fn sweep_invariants(report: &mut TrialReport, rom: &ccrp::CompressedImage) {
+    let timing = check_refill_invariants(rom);
+    report.refills = timing.refills;
+    if !timing.clean() {
+        report.outcome = TrialOutcome::TimingViolation(timing.violations.join("; "));
+    }
 }
 
 #[cfg(test)]

@@ -53,7 +53,17 @@ pub fn build_rv32_rom(image: &Rv32Image) -> Result<CompressedImage, String> {
 /// `max_steps` (an invalid generated program). Variant misbehaviour is
 /// a [`CosimVerdict::Divergence`], never an `Err`.
 pub fn run_rv32_cosim(image: &Rv32Image, max_steps: u64) -> Result<CosimVerdict, String> {
-    let rom = build_rv32_rom(image)?;
+    run_rv32_cosim_on(image, &build_rv32_rom(image)?, max_steps)
+}
+
+/// [`run_rv32_cosim`] around an already-built `rom` (`image`'s
+/// [`build_rv32_rom`] ROM), so a trial can reuse it for the
+/// refill-invariant sweep.
+fn run_rv32_cosim_on(
+    image: &Rv32Image,
+    rom: &CompressedImage,
+    max_steps: u64,
+) -> Result<CosimVerdict, String> {
     let v1 = CompressedImage::from_bytes(&rom.to_bytes())
         .map_err(|e| format!("v1 container round-trip failed: {e}"))?;
     let v2 = CompressedImage::from_bytes(&rom.to_bytes_v2())
@@ -63,13 +73,17 @@ pub fn run_rv32_cosim(image: &Rv32Image, max_steps: u64) -> Result<CosimVerdict,
         ..Rv32Config::default()
     };
     let reference = Rv32Machine::with_config(image, config.clone());
-    let variants = [("direct", rom), ("v1-container", v1), ("v2-container", v2)]
-        .into_iter()
-        .map(|(label, rom)| LockstepVariant {
-            label,
-            machine: Rv32Machine::with_compressed_text(image, &rom, config.clone()),
-        })
-        .collect();
+    let variants = [
+        ("direct", rom),
+        ("v1-container", &v1),
+        ("v2-container", &v2),
+    ]
+    .into_iter()
+    .map(|(label, rom)| LockstepVariant {
+        label,
+        machine: Rv32Machine::with_compressed_text(image, rom, config.clone()),
+    })
+    .collect();
     run_lockstep(
         reference,
         variants,
@@ -143,7 +157,14 @@ pub fn run_trial_rv32(seed: u64) -> TrialReport {
         };
         report.text_bytes += u64::from(image.text_size());
         report.lat_entries += u64::from(image.text_lines().div_ceil(8));
-        match run_rv32_cosim(&image, TRIAL_MAX_STEPS) {
+        let rom = match build_rv32_rom(&image) {
+            Ok(rom) => rom,
+            Err(err) => {
+                report.outcome = TrialOutcome::GenFailure(format!("{tag}: {err}"));
+                return report;
+            }
+        };
+        match run_rv32_cosim_on(&image, &rom, TRIAL_MAX_STEPS) {
             Err(err) => {
                 report.outcome = TrialOutcome::GenFailure(format!("{tag}: {err}"));
                 return report;
@@ -159,22 +180,12 @@ pub fn run_trial_rv32(seed: u64) -> TrialReport {
                 report.instructions += instructions;
             }
         }
-        match build_rv32_rom(&image) {
-            Ok(rom) => {
-                let timing = check_refill_invariants(&rom);
-                report.refills += timing.refills;
-                if !timing.clean() {
-                    report.outcome = TrialOutcome::TimingViolation(format!(
-                        "{tag}: {}",
-                        timing.violations.join("; ")
-                    ));
-                    return report;
-                }
-            }
-            Err(err) => {
-                report.outcome = TrialOutcome::GenFailure(format!("{tag}: {err}"));
-                return report;
-            }
+        let timing = check_refill_invariants(&rom);
+        report.refills += timing.refills;
+        if !timing.clean() {
+            report.outcome =
+                TrialOutcome::TimingViolation(format!("{tag}: {}", timing.violations.join("; ")));
+            return report;
         }
         let mut machine = Rv32Machine::with_config(
             &image,

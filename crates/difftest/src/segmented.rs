@@ -23,8 +23,10 @@
 use ccrp_emu::{Checkpoint, Machine, MachineConfig, NullSink};
 
 use crate::cosim::{
-    compare_state, disasm_window, standard_variants, CosimVerdict, DivergenceReport, RecordingSink,
+    build_rom, compare_state, disasm_window, standard_variants, CosimVerdict, DivergenceReport,
+    RecordingSink,
 };
+use ccrp::CompressedImage;
 use ccrp_asm::ProgramImage;
 
 /// Outcome of one segmented lockstep run.
@@ -52,10 +54,22 @@ pub fn run_cosim_segmented(
     max_steps: u64,
     every: u64,
 ) -> Result<SegmentedVerdict, String> {
+    run_cosim_segmented_on(image, &build_rom(image)?, max_steps, every)
+}
+
+/// [`run_cosim_segmented`] around an already-built `rom` (`image`'s
+/// [`build_rom`] ROM), so a trial can reuse it for the refill-invariant
+/// sweep.
+pub(crate) fn run_cosim_segmented_on(
+    image: &ProgramImage,
+    rom: &CompressedImage,
+    max_steps: u64,
+    every: u64,
+) -> Result<SegmentedVerdict, String> {
     if every == 0 {
         return Err("checkpoint interval must be at least 1".to_string());
     }
-    let variants = standard_variants(image)?;
+    let variants = standard_variants(image, rom)?;
     let config = MachineConfig {
         max_steps,
         ..MachineConfig::default()

@@ -141,6 +141,16 @@ pub fn preselected_positional_code() -> &'static PositionalCode {
 mod tests {
     use super::*;
 
+    /// FNV-1a digests of `preselected_code().lengths()` and of each
+    /// position's `preselected_positional_code()` lengths.
+    const PRESELECTED_DIGEST: u64 = 0xff663e9d9086e23a;
+    const POSITIONAL_DIGESTS: [u64; 4] = [
+        0xc718b681d278841c,
+        0x541474819a0cc47e,
+        0x274e5884355d512b,
+        0x42d50286c41d0d00,
+    ];
+
     #[test]
     fn corpus_matches_paper_sizes() {
         let corpus = figure5_corpus();
@@ -170,6 +180,33 @@ mod tests {
         // it dominates R2000 text.
         let zero_len = code.length_of(0);
         assert!(zero_len <= 4, "zero coded in {zero_len} bits");
+    }
+
+    /// FNV-1a over a code-length table.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins the corpus-trained code lengths, so a change to code
+    /// construction that alters any length fails here before it shows
+    /// up as a drift in a committed BENCH file.
+    #[test]
+    fn preselected_code_lengths_are_pinned() {
+        assert_eq!(
+            fnv1a(preselected_code().lengths()),
+            PRESELECTED_DIGEST,
+            "preselected code lengths"
+        );
+        let positional = preselected_positional_code();
+        for (position, &digest) in POSITIONAL_DIGESTS.iter().enumerate() {
+            assert_eq!(
+                fnv1a(positional.position(position).lengths()),
+                digest,
+                "positional code lengths at position {position}"
+            );
+        }
     }
 
     #[test]
