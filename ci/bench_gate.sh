@@ -4,13 +4,14 @@
 # Four checks, the first two against the results files committed at the
 # repo root:
 #
-#   1. Reproduction: re-run the tables1_8 and fig5 sweeps (trace-replay
-#      engine, the default) plus the codec × memory-model ablation
-#      matrix (`sweep --codecs`) and the cross-ISA comparison
-#      (`sweep --isa-compare`) and require the deterministic sections
-#      of the fresh BENCH_<experiment>.json / BENCH_codecs.json /
-#      BENCH_isa_compare.json to be byte-identical to the committed
-#      files.  Only the `jobs` and `timing` keys are host-dependent;
+#   1. Reproduction: re-run all five paper sweeps (fig5, tables1_8,
+#      tables9_10, fig9, tables11_13; trace-replay engine, the default)
+#      plus the codec × memory-model ablation matrix (`sweep --codecs`),
+#      the cross-ISA comparison (`sweep --isa-compare`) and the seeded
+#      fault-injection campaign (`faultsim --trials 1000 --seed 42`),
+#      and require the deterministic sections of each fresh
+#      BENCH_<name>.json to be byte-identical to the committed file.
+#      Only the `jobs` and `timing` keys are host-dependent;
 #      everything else (schema, experiment, cells, results — including
 #      every simulated cycle count) must reproduce exactly, on any
 #      machine, at any job count.
@@ -45,14 +46,18 @@ trap 'rm -rf "$tmp"' EXIT
 echo "bench_gate: re-running sweeps into $tmp"
 cargo run --release -p ccrp-cli --bin ccrp-tools -- \
     sweep --experiment tables1_8 --engine trace --jobs 2 --out "$tmp"
-cargo run --release -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment fig5 --out "$tmp"
+for experiment in fig5 tables9_10 fig9 tables11_13; do
+    cargo run --release -p ccrp-cli --bin ccrp-tools -- \
+        sweep --experiment "$experiment" --jobs 2 --out "$tmp"
+done
 cargo run --release -p ccrp-cli --bin ccrp-tools -- \
     sweep --codecs --jobs 2 --out "$tmp"
 cargo run --release -p ccrp-cli --bin ccrp-tools -- \
     sweep --isa-compare --jobs 2 --out "$tmp"
+cargo run --release -p ccrp-cli --bin ccrp-tools -- \
+    faultsim --trials 1000 --seed 42 --jobs 2 --out "$tmp/BENCH_faultsim.json"
 
-for name in tables1_8 fig5 codecs isa_compare; do
+for name in tables1_8 fig5 tables9_10 fig9 tables11_13 codecs isa_compare faultsim; do
     python3 - "BENCH_${name}.json" "$tmp/BENCH_${name}.json" <<'PY'
 import json, sys
 

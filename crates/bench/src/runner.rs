@@ -10,11 +10,10 @@
 //!
 //! * [`Engine::Trace`] (the default) runs two [`parallel_map`] stages:
 //!   *(workload → trace)* captures each workload's run-compacted
-//!   [`AccessTrace`] once, then *(trace → config rows)* replays every
-//!   one of the workload's configurations from the shared trace in one
-//!   pass over per-config simulator states
-//!   ([`Simulation::replay_sweep`]) — O(workloads + configs·trace)
-//!   instead of O(workloads × configs);
+//!   [`AccessTrace`] once, then *(trace → config rows)* replays each
+//!   (workload, cache size) group of configurations from the shared
+//!   trace in one miss-filtered pass ([`Simulation::replay_sweep`]),
+//!   so the work scales with misses rather than with configs × fetches;
 //! * [`Engine::Reexec`] re-executes the full per-fetch trace for every
 //!   cell, one [`parallel_map`] item per cell — the pre-trace-engine
 //!   behaviour, kept as the cross-check baseline.
@@ -28,8 +27,9 @@
 //! deterministic, and results are merged back by cell index — so the
 //! folded rows (and their JSON) are bit-identical for any worker count.
 //! Only the `timing` section of the JSON varies between runs (under the
-//! trace engine a cell's wall time is its workload group's one-pass
-//! replay time); the `results`/`cells` sections compare byte-for-byte.
+//! trace engine a cell's wall time is its (workload, cache size)
+//! group's one-pass replay time); the `results`/`cells` sections
+//! compare byte-for-byte.
 
 use std::ops::Range;
 use std::panic;
@@ -656,11 +656,14 @@ fn fold(experiment: Experiment, cells: &[SimCell], outcomes: &[Comparison]) -> E
     }
 }
 
-/// One contiguous range of cells sharing a workload — the unit of the
-/// trace engine's second stage.
+/// The cells of one workload that share an I-cache size — the unit of
+/// the trace engine's second stage. [`Simulation::replay_sweep`] filters
+/// a trace once per cache size, so this is the smallest item that loses
+/// no shared work.
 struct CellGroup<'a> {
     workload: &'static str,
-    range: Range<usize>,
+    /// Indices into the cell list, in generation order.
+    cells: Vec<usize>,
     trace: &'a AccessTrace,
 }
 
@@ -680,12 +683,13 @@ fn workload_ranges(cells: &[SimCell]) -> Vec<(&'static str, Range<usize>)> {
 
 /// The trace engine: stage one *(workload → trace)* captures each
 /// workload's [`AccessTrace`] once; stage two *(trace → config rows)*
-/// replays every cell of the workload from the shared trace — in one
-/// pass over per-config states for plain sweeps, or per cell with a
-/// probe attached when metrics were requested (the replayed event
-/// stream is identical to the re-executed one, so the histograms
-/// agree). Both stages run on [`parallel_map`], and the flattened
-/// outcomes keep cell generation order, so folding is unchanged.
+/// replays each (workload, cache size) group of cells from the shared
+/// trace — in one pass over per-config states for plain sweeps, or per
+/// cell with a probe attached when metrics were requested (the replayed
+/// event stream is identical to the re-executed one, so the histograms
+/// agree). Both stages run on [`parallel_map`]. Outcomes are scattered
+/// back into cell generation order, so folding is unchanged and results
+/// do not depend on `jobs`.
 fn trace_engine_outcomes(
     jobs: usize,
     cells: &[SimCell],
@@ -696,22 +700,30 @@ fn trace_engine_outcomes(
     let captures = parallel_map(jobs, &ranges, |(name, _)| {
         AccessTrace::capture(suite.get(name).workload.trace.iter())
     });
-    let groups: Vec<CellGroup<'_>> = ranges
-        .iter()
-        .zip(&captures)
-        .map(|((workload, range), (trace, _))| CellGroup {
-            workload,
-            range: range.clone(),
-            trace,
-        })
-        .collect();
+    let mut groups: Vec<CellGroup<'_>> = Vec::new();
+    for ((workload, range), (trace, _)) in ranges.iter().zip(&captures) {
+        let first = groups.len();
+        for index in range.clone() {
+            let size = cells[index].cache_bytes;
+            match groups[first..]
+                .iter_mut()
+                .find(|group| cells[group.cells[0]].cache_bytes == size)
+            {
+                Some(group) => group.cells.push(index),
+                None => groups.push(CellGroup {
+                    workload,
+                    cells: vec![index],
+                    trace,
+                }),
+            }
+        }
+    }
 
     let replayed = parallel_map(jobs, &groups, |group| {
         let prepared = suite.get(group.workload);
-        let group_cells = &cells[group.range.clone()];
+        let group_cells = group.cells.iter().map(|&index| &cells[index]);
         let outcomes: Vec<(Comparison, Option<MetricSet>)> = if metrics {
             group_cells
-                .iter()
                 .map(|cell| {
                     let mut collector = MetricsCollector::new();
                     let comparison = Simulation::new(cell.config())
@@ -722,7 +734,7 @@ fn trace_engine_outcomes(
                 })
                 .collect()
         } else {
-            let configs: Vec<SystemConfig> = group_cells.iter().map(SimCell::config).collect();
+            let configs: Vec<SystemConfig> = group_cells.map(SimCell::config).collect();
             Simulation::replay_sweep(&prepared.image, group.trace, &configs)
                 .expect("paper configurations are valid")
                 .into_iter()
@@ -730,26 +742,31 @@ fn trace_engine_outcomes(
                 .collect()
         };
         // Cold-start consistency (debug builds): a replayed cell must
-        // equal its re-executed twin — one probe per workload group.
+        // equal its re-executed twin — one probe per workload.
         #[cfg(debug_assertions)]
-        if let (Some(cell), Some((comparison, _))) = (group_cells.first(), outcomes.first()) {
-            debug_assert_eq!(
-                *comparison,
-                cell.simulate(suite),
-                "replayed and re-executed stats diverge for {}",
-                cell.label()
-            );
+        {
+            let first = group.cells[0];
+            if first == 0 || cells[first - 1].workload != group.workload {
+                debug_assert_eq!(
+                    outcomes[0].0,
+                    cells[first].simulate(suite),
+                    "replayed and re-executed stats diverge for {}",
+                    cells[first].label()
+                );
+            }
         }
         outcomes
     });
 
-    let mut flat = Vec::with_capacity(cells.len());
-    for (group_outcomes, wall) in replayed {
-        for outcome in group_outcomes {
-            flat.push((outcome, wall));
+    let mut flat: Vec<Option<_>> = (0..cells.len()).map(|_| None).collect();
+    for (group, (outcomes, wall)) in groups.iter().zip(replayed) {
+        for (&index, outcome) in group.cells.iter().zip(outcomes) {
+            flat[index] = Some((outcome, wall));
         }
     }
-    flat
+    flat.into_iter()
+        .map(|outcome| outcome.expect("every cell belongs to one group"))
+        .collect()
 }
 
 /// Runs one experiment across `options.jobs` workers.

@@ -302,32 +302,61 @@ impl LzwLineCodec {
     }
 }
 
-/// Runs the LZW encoder over `line`, returning each emitted code with
-/// the number of input bytes it covers — the shared core of
-/// [`LzwLineCodec`]'s size, stream, and timing views.
-fn lzw_line_codes(line: &[u8]) -> Vec<(u32, usize)> {
-    // The dictionary is tiny (at most 31 entries), so a linear scan
-    // beats hashing and keeps this allocation-light.
-    let mut dict: Vec<(u32, u8)> = Vec::new();
-    let mut out = Vec::new();
-    let mut current: Option<(u32, usize)> = None;
-    for &byte in line {
-        let Some((code, run)) = current else {
-            current = Some((u32::from(byte), 1));
-            continue;
+/// The codes the per-line LZW encoder emits for one line, each with the
+/// number of input bytes it covers — the shared core of
+/// [`LzwLineCodec`]'s size, stream, and timing views. A line of
+/// [`LINE_SIZE`] bytes emits at most that many codes and adds one
+/// dictionary entry per code after the first, so fixed arrays hold it
+/// all and the refill path never allocates.
+struct LzwCodes {
+    codes: [(u32, usize); LINE_SIZE],
+    len: usize,
+}
+
+impl LzwCodes {
+    /// Runs the encoder over `line`, which must be at most
+    /// [`LINE_SIZE`] bytes (every [`LineCodec`] input is one line).
+    fn of(line: &[u8]) -> Self {
+        // The dictionary is tiny (at most 31 entries), so a linear scan
+        // beats hashing.
+        let mut dict = [(0u32, 0u8); LINE_SIZE - 1];
+        let mut entries = 0usize;
+        let mut out = LzwCodes {
+            codes: [(0, 0); LINE_SIZE],
+            len: 0,
         };
-        if let Some(index) = dict.iter().position(|&(p, b)| p == code && b == byte) {
-            current = Some((FIRST_FREE + index as u32, run + 1));
-        } else {
-            out.push((code, run));
-            dict.push((code, byte));
-            current = Some((u32::from(byte), 1));
+        let mut current: Option<(u32, usize)> = None;
+        for &byte in line {
+            let Some((code, run)) = current else {
+                current = Some((u32::from(byte), 1));
+                continue;
+            };
+            if let Some(index) = dict[..entries]
+                .iter()
+                .position(|&(p, b)| p == code && b == byte)
+            {
+                current = Some((FIRST_FREE + index as u32, run + 1));
+            } else {
+                out.push((code, run));
+                dict[entries] = (code, byte);
+                entries += 1;
+                current = Some((u32::from(byte), 1));
+            }
         }
+        if let Some(entry) = current {
+            out.push(entry);
+        }
+        out
     }
-    if let Some(entry) = current {
-        out.push(entry);
+
+    fn push(&mut self, code: (u32, usize)) {
+        self.codes[self.len] = code;
+        self.len += 1;
     }
-    out
+
+    fn codes(&self) -> &[(u32, usize)] {
+        &self.codes[..self.len]
+    }
 }
 
 /// Walks one dictionary chain into `out[*filled..]`, returning the
@@ -376,11 +405,11 @@ impl LineCodec for LzwLineCodec {
     }
 
     fn encoded_bits(&self, line: &[u8]) -> u64 {
-        lzw_line_codes(line).len() as u64 * u64::from(LINE_WIDTH)
+        LzwCodes::of(line).len as u64 * u64::from(LINE_WIDTH)
     }
 
     fn encode_into(&self, line: &[u8], writer: &mut BitWriter) {
-        for (code, _) in lzw_line_codes(line) {
+        for &(code, _) in LzwCodes::of(line).codes() {
             writer.write_bits(code, LINE_WIDTH);
         }
     }
@@ -433,7 +462,7 @@ impl LineCodec for LzwLineCodec {
     fn bit_profile(&self, line: &[u8], cumulative_bits: &mut [u64; LINE_SIZE]) {
         let mut bits = 0u64;
         let mut index = 0usize;
-        for (_, run) in lzw_line_codes(line) {
+        for &(_, run) in LzwCodes::of(line).codes() {
             // Every byte a code covers becomes available only once the
             // whole code has arrived.
             bits += u64::from(LINE_WIDTH);
@@ -652,6 +681,56 @@ mod tests {
             let mut out = [0u8; LINE_SIZE];
             LzwLineCodec.decode_into(&w.into_bytes(), &mut out).unwrap();
             prop_assert_eq!(out, fixed);
+        }
+
+        #[test]
+        fn lzw_profile_follows_the_emitted_code_sequence(
+            raw in proptest::collection::vec(any::<u8>(), LINE_SIZE),
+            alphabet in 1u16..257,
+        ) {
+            // Small alphabets make the dictionary hit (and KwKwK codes
+            // appear); 256 exercises all-literal lines.
+            let mut line = [0u8; LINE_SIZE];
+            for (slot, &byte) in line.iter_mut().zip(&raw) {
+                *slot = (u16::from(byte) % alphabet) as u8;
+            }
+            let mut w = BitWriter::new();
+            LzwLineCodec.encode_into(&line, &mut w);
+            prop_assert_eq!(w.bit_len(), LzwLineCodec.encoded_bits(&line));
+            let codes = w.bit_len() / u64::from(LINE_WIDTH);
+            let stored = w.into_bytes();
+
+            // Re-derive each code's phrase length from the stream alone,
+            // as the decoder would: entry `k` is one byte longer than the
+            // phrase emitted before it.
+            let mut reader = BitReader::new(&stored);
+            let mut entry_lens: Vec<usize> = Vec::new();
+            let mut prev_len: Option<usize> = None;
+            let mut expected = [0u64; LINE_SIZE];
+            let mut filled = 0usize;
+            for emitted in 1..=codes {
+                let code = reader.read_bits(LINE_WIDTH).unwrap();
+                let len = match code {
+                    0..=255 => 1,
+                    _ => match entry_lens.get((code - FIRST_FREE) as usize) {
+                        Some(&len) => len,
+                        // KwKwK: the entry this very code creates.
+                        None => prev_len.unwrap() + 1,
+                    },
+                };
+                if let Some(prev) = prev_len {
+                    entry_lens.push(prev + 1);
+                }
+                for slot in &mut expected[filled..filled + len] {
+                    *slot = emitted * u64::from(LINE_WIDTH);
+                }
+                filled += len;
+                prev_len = Some(len);
+            }
+            prop_assert_eq!(filled, LINE_SIZE);
+            let mut profile = [0u64; LINE_SIZE];
+            LzwLineCodec.bit_profile(&line, &mut profile);
+            prop_assert_eq!(profile, expected);
         }
 
         #[test]

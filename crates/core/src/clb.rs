@@ -78,9 +78,9 @@ impl Clb {
     /// Looks up `lat_index`, updating LRU order and statistics.
     pub fn probe(&mut self, lat_index: u32) -> Option<LatEntry> {
         if let Some(pos) = self.slots.iter().position(|&(tag, _)| tag == lat_index) {
-            let slot = self.slots.remove(pos);
-            let entry = slot.1;
-            self.slots.push(slot);
+            let entry = self.slots[pos].1;
+            // Move the hit to the most-recent end in place.
+            self.slots[pos..].rotate_left(1);
             self.stats.hits += 1;
             Some(entry)
         } else {

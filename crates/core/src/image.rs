@@ -272,10 +272,16 @@ impl CompressedImage {
     ///
     /// [`CcrpError::AddressOutOfRange`] outside the program text.
     pub fn original_line(&self, address: u32) -> Result<&[u8], CcrpError> {
-        let loc = self.locate(address)?;
-        let global = (loc.lat_index * LINES_PER_ENTRY + loc.line_in_entry) as usize;
+        Ok(self.original_line_at(&self.locate(address)?))
+    }
+
+    /// [`original_line`](Self::original_line) for a line already
+    /// [`locate`](Self::locate)d — the refill engine's path, which
+    /// locates each missing line once.
+    pub(crate) fn original_line_at(&self, location: &LineLocation) -> &[u8] {
+        let global = (location.lat_index * LINES_PER_ENTRY + location.line_in_entry) as usize;
         let start = global * LINE_SIZE as usize;
-        Ok(&self.original_text[start..start + LINE_SIZE as usize])
+        &self.original_text[start..start + LINE_SIZE as usize]
     }
 
     /// Runs the decompressor on the stored block covering `address`,

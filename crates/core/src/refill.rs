@@ -14,7 +14,7 @@ use ccrp_probe::{Event, NullProbe, Probe};
 use crate::addr::LINE_SIZE;
 use crate::clb::{Clb, ClbSnapshot, ClbStats};
 use crate::error::CcrpError;
-use crate::image::CompressedImage;
+use crate::image::{CompressedImage, LineLocation};
 
 /// Timing oracle for the instruction memory: the three models of §4.2.1
 /// (EPROM, burst EPROM, static-column DRAM) implement this in `ccrp-sim`.
@@ -220,9 +220,9 @@ impl RefillEngine {
         memory: &mut dyn MemoryTiming,
         probe: &mut P,
     ) -> Result<RefillOutcome, CcrpError> {
-        // Resolve the LAT index up front so the retry path can
-        // invalidate the right CLB entry.
-        let lat_index = image.locate(address)?.lat_index;
+        // Locate the line once: every attempt reads the same layout, and
+        // the retry path needs its LAT index to invalidate the CLB entry.
+        let location = image.locate(address)?;
         probe.emit(now, Event::RefillStart { address });
         let max_retries = match self.policy {
             DegradePolicy::Retry { attempts } => attempts,
@@ -238,7 +238,15 @@ impl RefillEngine {
                 clb_hit: false,
                 bypass: false,
             };
-            match self.refill_attempt(image, address, start, memory, &mut progress, probe) {
+            match self.refill_attempt(
+                image,
+                address,
+                &location,
+                start,
+                memory,
+                &mut progress,
+                probe,
+            ) {
                 Ok(ready_at) => {
                     let outcome = RefillOutcome {
                         ready_at,
@@ -273,7 +281,7 @@ impl RefillEngine {
                             // A corrupt LAT entry cached in the CLB would make
                             // every re-read fail identically; force a fresh
                             // in-memory LAT read, then back off exponentially.
-                            self.clb.invalidate(lat_index);
+                            self.clb.invalidate(location.lat_index);
                             let backoff_cycles = 1u64 << retries.min(16);
                             probe.emit(
                                 progress.time,
@@ -296,16 +304,17 @@ impl RefillEngine {
     /// One refill attempt: LAT lookup (CLB or memory), integrity
     /// cross-check, block fetch, decode-timing model. Updates `progress`
     /// as it goes so a failure mid-attempt still reports cost.
+    #[allow(clippy::too_many_arguments)]
     fn refill_attempt<P: Probe>(
         &mut self,
         image: &CompressedImage,
         address: u32,
+        location: &LineLocation,
         now: u64,
         memory: &mut dyn MemoryTiming,
         progress: &mut AttemptProgress,
         probe: &mut P,
     ) -> Result<u64, CcrpError> {
-        let location = image.locate(address)?;
         progress.bypass = location.bypass;
         let mut start = now;
 
@@ -407,7 +416,7 @@ impl RefillEngine {
                 // decoder output (bit-exact for an uncorrupted image).
                 IntegrityCheck::Fast => decode_completion(
                     image.codec(),
-                    image.original_line(address)?,
+                    image.original_line_at(location),
                     byte_offset_in_burst,
                     &self.scratch,
                     self.decode_rate,

@@ -30,12 +30,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use ccrp::{CompressedImage, StepBudget};
+use ccrp::{CompressedImage, RefillConfig, StepBudget};
 use ccrp_probe::{NullProbe, Probe};
 
+use crate::icache::ICache;
+use crate::memory::MemoryModel;
 use crate::stepper::{CcrpSim, StandardSim};
 use crate::system::{Comparison, RunStats, SimError, SystemConfig};
-use crate::trace::AccessTrace;
+use crate::trace::{AccessTrace, FetchRun};
 
 /// What a [`Simulation`] executes over: a live per-fetch
 /// `(pc, data_access_count)` stream, or a captured, run-compacted
@@ -102,40 +104,170 @@ impl<'e> Simulation<'e> {
     }
 
     /// Replays a captured trace through both processors for *every*
-    /// configuration in one pass over the runs, advancing a per-config
-    /// array of simulator states — the trace-once, replay-many sweep
-    /// kernel. Equivalent to (but much faster than) calling
-    /// [`compare`](Self::compare) per config: the trace is decoded
-    /// once and stays hot in cache while `configs.len()` state pairs
-    /// consume it.
+    /// configuration — the trace-once, replay-many sweep kernel.
+    /// Equivalent to (but much faster than) calling
+    /// [`compare`](Self::compare) per config.
+    ///
+    /// The work is proportional to misses, not fetches. Configs are
+    /// grouped by cache size, and one tag array per size filters the
+    /// trace: every same-size direct-mapped cache misses at exactly the
+    /// same runs, because a hit changes no tag. Hits only add to
+    /// pending totals, which each simulator state applies in bulk just
+    /// before its next miss and at the end of the trace. Duplicate
+    /// states are simulated once: the standard processor per (size,
+    /// memory) and the CCRP per config with the data cache left out,
+    /// since the data cache is only a formula over the final
+    /// [`RunStats`].
     ///
     /// # Errors
     ///
     /// As [`compare`](Self::compare); on error the whole sweep is
-    /// abandoned (all configs replay the same trace, so a fetch outside
-    /// the image fails every one of them).
+    /// abandoned, reporting the error of the earliest failing run for
+    /// the first config that fails there.
     pub fn replay_sweep(
         image: &CompressedImage,
         trace: &AccessTrace,
         configs: &[SystemConfig],
     ) -> Result<Vec<Comparison>, SimError> {
-        let mut states = Vec::with_capacity(configs.len());
-        for config in configs {
-            states.push((StandardSim::new(config)?, CcrpSim::new(config)?));
+        let mut groups: Vec<SizeGroup> = Vec::new();
+        // Per config: its group and the indices of its two states.
+        let mut slots = Vec::with_capacity(configs.len());
+        for (index, config) in configs.iter().enumerate() {
+            let g = find_or_push(
+                &mut groups,
+                |group| group.cache_bytes == config.cache_bytes,
+                || SizeGroup::new(config.cache_bytes),
+            )?;
+            let group = &mut groups[g];
+            let s = find_or_push(
+                &mut group.standard,
+                |(memory, _)| *memory == config.memory,
+                || Ok((config.memory, StandardSim::new(config)?)),
+            )?;
+            let key = (config.memory, config.refill);
+            let c = find_or_push(
+                &mut group.ccrp,
+                |state| state.key == key,
+                || {
+                    Ok(CcrpState {
+                        key,
+                        first_config: index,
+                        sim: CcrpSim::new(config)?,
+                    })
+                },
+            )?;
+            slots.push((g, s, c));
         }
-        for &run in trace.runs() {
-            for (standard, ccrp) in &mut states {
-                standard.replay_run_probed(run, &mut NullProbe);
-                ccrp.replay_run_probed(image, run, &mut NullProbe)?;
+
+        // (run index, config index, error) of the earliest failure.
+        let mut failure: Option<(usize, usize, SimError)> = None;
+        for group in &mut groups {
+            if let Err((run, state, error)) = group.replay(image, trace.runs()) {
+                let at = (run, group.ccrp[state].first_config);
+                if failure.as_ref().is_none_or(|&(r, c, _)| at < (r, c)) {
+                    failure = Some((at.0, at.1, error));
+                }
             }
         }
-        Ok(states
+        if let Some((_, _, error)) = failure {
+            return Err(error);
+        }
+
+        Ok(configs
             .iter()
-            .map(|(standard, ccrp)| Comparison {
-                standard: standard.stats(),
-                ccrp: ccrp.stats(),
+            .zip(slots)
+            .map(|(config, (g, s, c))| {
+                let mut standard = groups[g].standard[s].1.stats();
+                let mut ccrp = groups[g].ccrp[c].sim.stats();
+                standard.data_stall_cycles = config.dcache.stall_cycles(standard.data_accesses);
+                ccrp.data_stall_cycles = config.dcache.stall_cycles(ccrp.data_accesses);
+                Comparison { standard, ccrp }
             })
             .collect())
+    }
+}
+
+/// The [`Simulation::replay_sweep`] states sharing one cache size, plus
+/// the tag array that tells them where the misses are.
+struct SizeGroup {
+    cache_bytes: u32,
+    filter: ICache,
+    /// One standard processor per memory model.
+    standard: Vec<(MemoryModel, StandardSim)>,
+    /// One CCRP per distinct (memory model, refill config).
+    ccrp: Vec<CcrpState>,
+}
+
+struct CcrpState {
+    key: (MemoryModel, RefillConfig),
+    /// The first config in sweep order that maps to this state.
+    first_config: usize,
+    sim: CcrpSim,
+}
+
+/// The index of the first of `items` that `matches` accepts, pushing
+/// `make()` when none does.
+fn find_or_push<T>(
+    items: &mut Vec<T>,
+    matches: impl FnMut(&T) -> bool,
+    make: impl FnOnce() -> Result<T, SimError>,
+) -> Result<usize, SimError> {
+    if let Some(index) = items.iter().position(matches) {
+        return Ok(index);
+    }
+    items.push(make()?);
+    Ok(items.len() - 1)
+}
+
+impl SizeGroup {
+    fn new(cache_bytes: u32) -> Result<Self, SimError> {
+        Ok(SizeGroup {
+            cache_bytes,
+            filter: ICache::new(cache_bytes)?,
+            standard: Vec::new(),
+            ccrp: Vec::new(),
+        })
+    }
+
+    /// Replays `runs` through every state, stepping the states only at
+    /// misses. On a refill error, returns the failing run's index and
+    /// the index of the first CCRP state that failed on it.
+    fn replay(
+        &mut self,
+        image: &CompressedImage,
+        runs: &[FetchRun],
+    ) -> Result<(), (usize, usize, SimError)> {
+        let (mut hits, mut data) = (0u64, 0u64);
+        for (index, &run) in runs.iter().enumerate() {
+            // An empty run replays as a no-op, exactly as in
+            // `replay_run_probed`.
+            if run.fetches == 0 {
+                continue;
+            }
+            if self.filter.access(run.first_pc) {
+                hits += u64::from(run.fetches);
+                data += u64::from(run.data);
+                continue;
+            }
+            for (_, sim) in &mut self.standard {
+                sim.record_hits(hits, data);
+                sim.replay_run_probed(run, &mut NullProbe);
+            }
+            for (state, ccrp) in self.ccrp.iter_mut().enumerate() {
+                ccrp.sim.record_hits(hits, data);
+                ccrp.sim
+                    .replay_run_probed(image, run, &mut NullProbe)
+                    .map_err(|error| (index, state, error))?;
+            }
+            (hits, data) = (0, 0);
+        }
+        for (_, sim) in &mut self.standard {
+            sim.record_hits(hits, data);
+        }
+        for ccrp in &mut self.ccrp {
+            ccrp.sim.record_hits(hits, data);
+        }
+        Ok(())
     }
 }
 
@@ -357,7 +489,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemoryModel;
     use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
     use ccrp_probe::{Event, EventLog};
 

@@ -104,11 +104,19 @@ impl StandardSim {
             return;
         }
         self.step_probed(run.first_pc, 0, probe);
-        self.counters.data_accesses += u64::from(run.data);
-        let rest = u64::from(run.fetches) - 1;
-        self.counters.instructions += rest;
-        self.counters.cycle += rest;
-        self.cache.record_hits(rest);
+        self.record_hits(u64::from(run.fetches) - 1, u64::from(run.data));
+    }
+
+    /// Accounts `fetches` instruction-cache hits issuing `data` data
+    /// accesses in bulk: one cycle per hit and nothing else, because a
+    /// hit changes no tag and touches neither memory nor the refill
+    /// path. Callers must know the fetches hit (see
+    /// [`ICache::record_hits`]).
+    pub(crate) fn record_hits(&mut self, fetches: u64, data: u64) {
+        self.counters.instructions += fetches;
+        self.counters.data_accesses += data;
+        self.counters.cycle += fetches;
+        self.cache.record_hits(fetches);
     }
 
     /// The running totals.
@@ -247,12 +255,16 @@ impl CcrpSim {
             return Ok(());
         }
         self.step_probed(image, run.first_pc, 0, probe)?;
-        self.counters.data_accesses += u64::from(run.data);
-        let rest = u64::from(run.fetches) - 1;
-        self.counters.instructions += rest;
-        self.counters.cycle += rest;
-        self.cache.record_hits(rest);
+        self.record_hits(u64::from(run.fetches) - 1, u64::from(run.data));
         Ok(())
+    }
+
+    /// Accounts known hits in bulk; see [`StandardSim::record_hits`].
+    pub(crate) fn record_hits(&mut self, fetches: u64, data: u64) {
+        self.counters.instructions += fetches;
+        self.counters.data_accesses += data;
+        self.counters.cycle += fetches;
+        self.cache.record_hits(fetches);
     }
 
     /// The running totals.
