@@ -5,11 +5,12 @@
 # repo root:
 #
 #   1. Reproduction: re-run all five paper sweeps (fig5, tables1_8,
-#      tables9_10, fig9, tables11_13; trace-replay engine, the default)
-#      plus the codec × memory-model ablation matrix (`sweep --codecs`),
-#      the cross-ISA comparison (`sweep --isa-compare`) and the seeded
-#      fault-injection campaign (`faultsim --trials 1000 --seed 42`),
-#      and require the deterministic sections of each fresh
+#      tables9_10, fig9, tables11_13) plus the codec × memory-model
+#      ablation matrix (`sweep --codecs`), the cross-ISA comparison
+#      (`sweep --isa-compare`), the seeded fault-injection campaign
+#      (`faultsim --trials 1000 --seed 42`) and both differential
+#      co-simulation campaigns (`difftest --programs 10000 --seed 1`,
+#      `difftest --isa rv32 --programs 5000 --seed 1`), and require the deterministic sections of each fresh
 #      BENCH_<name>.json to be byte-identical to the committed file.
 #      Only the `jobs` and `timing` keys are host-dependent;
 #      everything else (schema, experiment, cells, results — including
@@ -45,7 +46,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 echo "bench_gate: re-running sweeps into $tmp"
 cargo run --release -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment tables1_8 --engine trace --jobs 2 --out "$tmp"
+    sweep --experiment tables1_8 --jobs 2 --out "$tmp"
 for experiment in fig5 tables9_10 fig9 tables11_13; do
     cargo run --release -p ccrp-cli --bin ccrp-tools -- \
         sweep --experiment "$experiment" --jobs 2 --out "$tmp"
@@ -56,8 +57,13 @@ cargo run --release -p ccrp-cli --bin ccrp-tools -- \
     sweep --isa-compare --jobs 2 --out "$tmp"
 cargo run --release -p ccrp-cli --bin ccrp-tools -- \
     faultsim --trials 1000 --seed 42 --jobs 2 --out "$tmp/BENCH_faultsim.json"
+cargo run --release -p ccrp-cli --bin ccrp-tools -- \
+    difftest --programs 10000 --seed 1 --jobs 2 --out "$tmp/BENCH_difftest.json"
+cargo run --release -p ccrp-cli --bin ccrp-tools -- \
+    difftest --isa rv32 --programs 5000 --seed 1 --jobs 2 --out "$tmp/BENCH_difftest_rv32.json"
 
-for name in tables1_8 fig5 tables9_10 fig9 tables11_13 codecs isa_compare faultsim; do
+for name in tables1_8 fig5 tables9_10 fig9 tables11_13 codecs isa_compare faultsim \
+            difftest difftest_rv32; do
     python3 - "BENCH_${name}.json" "$tmp/BENCH_${name}.json" <<'PY'
 import json, sys
 
@@ -90,9 +96,9 @@ done
 echo "bench_gate: trace-engine jobs independence (--jobs 1 vs --jobs 4)"
 mkdir -p "$tmp/j1" "$tmp/j4"
 cargo run --release -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment tables1_8 --engine trace --jobs 1 --out "$tmp/j1"
+    sweep --experiment tables1_8 --jobs 1 --out "$tmp/j1"
 cargo run --release -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment tables1_8 --engine trace --jobs 4 --out "$tmp/j4"
+    sweep --experiment tables1_8 --jobs 4 --out "$tmp/j4"
 diff <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j1/BENCH_tables1_8.json") \
      <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j4/BENCH_tables1_8.json") \
     || { echo "bench_gate: FAIL trace engine diverged between 1 and 4 workers" >&2; exit 1; }

@@ -158,8 +158,9 @@ fn main() {
     }
     println!("{table}");
     println!(
-        "Fixed-width RISC encodings (MIPS, SPARC-like) leave similar per-byte\n\
-         redundancy for a preselected code; dense CISC code leaves much less —\n\
-         quantifying why the paper targets RISC embedded systems."
+        "Fixed-width MIPS code leaves much more per-byte redundancy for a\n\
+         preselected code than dense CISC code — quantifying why the paper\n\
+         targets RISC embedded systems (the RV32 rows of\n\
+         BENCH_isa_compare.json measure a second, real RISC encoding)."
     );
 }

@@ -3,7 +3,7 @@
 //! reference ([`ByteCode::decode_symbol_reference`]), expanding the
 //! compressed cache lines of the Tables 1–8 workload corpus.
 //!
-//! Like `micro.rs`, this is a std-only harness (no crates.io access for
+//! This is a std-only harness (no crates.io access for
 //! an external framework): median lines/sec over timed batches after a
 //! warmup pass. Results are written as `BENCH_decoder.json` via the
 //! suite's deterministic JSON writer (the *numbers* are host-dependent;

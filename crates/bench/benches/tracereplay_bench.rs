@@ -4,7 +4,7 @@
 //! worker, checking the results fold identically and reporting the
 //! wall-clock ratio.
 //!
-//! Like `micro.rs`, this is a std-only harness (no crates.io access for
+//! This is a std-only harness (no crates.io access for
 //! an external framework): best-of-3 timed passes per engine after a
 //! warmup pass. Results are written as `BENCH_tracereplay.json` via the
 //! suite's deterministic JSON writer (the *numbers* are host-dependent;

@@ -152,8 +152,9 @@ pub struct DifftestReport {
     pub total_wall: Duration,
 }
 
-/// Decorrelates per-trial seeds (the SplitMix64 increment constant),
-/// matching the fault-injection campaign's derivation.
+/// Decorrelates per-trial seeds (the SplitMix64 increment constant).
+/// Every campaign driver — difftest, faultsim and servesim — derives
+/// its trial seeds here.
 pub fn trial_seed(seed: u64, trial: usize) -> u64 {
     seed ^ (trial as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -327,6 +328,13 @@ impl ToJson for DifftestReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trial_seeds_are_pinned() {
+        // Committed campaign results name trials by these seeds.
+        assert_eq!(trial_seed(1, 0), 0x9E37_79B9_7F4A_7C14);
+        assert_eq!(trial_seed(42, 999), 0x08B3_7C99_3AF4_B222);
+    }
 
     fn small_campaign(jobs: usize) -> DifftestReport {
         run(DifftestOptions {

@@ -16,7 +16,8 @@
 //!   so the work scales with misses rather than with configs × fetches;
 //! * [`Engine::Reexec`] re-executes the full per-fetch trace for every
 //!   cell, one [`parallel_map`] item per cell — the pre-trace-engine
-//!   behaviour, kept as the cross-check baseline.
+//!   behaviour, kept only as the reference that tests and
+//!   `tracereplay_bench` compare the trace engine against.
 //!
 //! Both engines produce bit-identical
 //! [`results_json`](SweepReport::results_json) output (debug builds
@@ -157,24 +158,6 @@ pub enum Engine {
     /// Capture each workload's [`AccessTrace`] once, then replay all of
     /// its configurations from the shared trace in one pass.
     Trace,
-}
-
-impl Engine {
-    /// Every engine, trace (the default) first.
-    pub const ALL: [Engine; 2] = [Engine::Trace, Engine::Reexec];
-
-    /// The engine's CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Reexec => "reexec",
-            Engine::Trace => "trace",
-        }
-    }
-
-    /// Parses a CLI name back to the engine.
-    pub fn from_name(name: &str) -> Option<Engine> {
-        Engine::ALL.into_iter().find(|e| e.name() == name)
-    }
 }
 
 /// Runner knobs.
@@ -982,11 +965,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_round_trip() {
-        for engine in Engine::ALL {
-            assert_eq!(Engine::from_name(engine.name()), Some(engine));
-        }
-        assert_eq!(Engine::from_name("replay"), None);
+    fn trace_is_the_default_engine() {
         assert_eq!(SweepOptions::default().engine, Engine::Trace);
     }
 

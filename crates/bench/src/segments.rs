@@ -79,7 +79,8 @@ impl From<SimError> for SegmentError {
 /// A finished segmented replay.
 #[derive(Debug, Clone)]
 pub struct SegmentReplayReport {
-    /// The paper's metrics, identical to [`ccrp_sim::compare`] over the
+    /// The paper's metrics, identical to
+    /// [`Simulation::compare`](ccrp_sim::Simulation::compare) over the
     /// same trace.
     pub comparison: Comparison,
     /// Segments the trace was split into (at least 1).
@@ -89,7 +90,7 @@ pub struct SegmentReplayReport {
 /// Replays `trace` through both processors in segments of `every`
 /// entries fanned across `jobs` workers, verifying the recorded
 /// checkpoint chain, and reports the same [`Comparison`] a monolithic
-/// [`ccrp_sim::compare`] produces.
+/// [`Simulation::compare`](ccrp_sim::Simulation::compare) produces.
 ///
 /// # Errors
 ///

@@ -1,15 +1,14 @@
-//! `ccrp-tools sweep [--experiment NAME|all] [--engine trace|reexec]
-//! [--jobs N] [--out DIR] [--codecs] [--isa-compare]`
+//! `ccrp-tools sweep [--experiment NAME|all] [--jobs N] [--out DIR]
+//! [--tables] [--metrics] [--codecs] [--isa-compare]`
 //!
 //! Drives the parallel experiment runner: every paper experiment is
 //! decomposed into independent (workload, configuration) cells, swept
 //! across `--jobs` worker threads, and written as a machine-readable
-//! `BENCH_<experiment>.json` results file under `--out`. The default
-//! `trace` engine executes each workload once, captures a compacted
-//! fetch trace, and replays it for every configuration; `--engine
-//! reexec` re-executes each cell from scratch. Both engines — and any
-//! worker count — produce bit-identical results; only the `timing`
-//! section of the JSON varies.
+//! `BENCH_<experiment>.json` results file under `--out`. Each workload
+//! executes once; its compacted fetch trace is captured and replayed
+//! for every configuration. Any worker count produces bit-identical
+//! results; only the `timing` section of the JSON varies. `--tables`
+//! also prints the paper-style tables.
 //!
 //! `--codecs` runs the codec × memory-model ablation matrix instead:
 //! every workload compressed with each [`ccrp_compress::LineCodec`]
@@ -26,13 +25,13 @@ use std::path::Path;
 use std::time::Duration;
 
 use ccrp_bench::json::Json;
-use ccrp_bench::{codecs, isa_compare, render, runner, Engine, Experiment, SweepOptions, ToJson};
+use ccrp_bench::{codecs, isa_compare, render, runner, Experiment, SweepOptions, ToJson};
 
 use crate::args::Args;
 use crate::error::{write_file, CliError};
 
 /// Option names consuming a value.
-pub const VALUE_OPTIONS: &[&str] = &["experiment", "engine", "jobs", "out"];
+pub const VALUE_OPTIONS: &[&str] = &["experiment", "jobs", "out"];
 /// Switch names.
 pub const SWITCHES: &[&str] = &["tables", "metrics", "codecs", "isa-compare"];
 
@@ -40,7 +39,7 @@ pub const SWITCHES: &[&str] = &["tables", "metrics", "codecs", "isa-compare"];
 ///
 /// # Errors
 ///
-/// [`CliError::Usage`] for an unknown experiment or engine name or a
+/// [`CliError::Usage`] for an unknown experiment name or a
 /// bad `--jobs` value; [`CliError::Io`] when a results file cannot be
 /// written.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -57,12 +56,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if jobs == 0 {
         return Err(CliError::Usage("--jobs must be at least 1".into()));
     }
-    let engine = match args.option("engine") {
-        None => Engine::Trace,
-        Some(name) => Engine::from_name(name).ok_or_else(|| {
-            CliError::Usage(format!("unknown engine `{name}`; expected trace or reexec"))
-        })?,
-    };
     let out_dir = args.option("out").unwrap_or(".");
     let metrics = args.switch("metrics");
 
@@ -104,7 +97,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             &SweepOptions {
                 jobs,
                 metrics,
-                engine,
+                ..SweepOptions::default()
             },
         );
         let path = Path::new(out_dir).join(format!("BENCH_{}.json", experiment.name()));
@@ -217,11 +210,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unknown_engine() {
-        let args = Args::parse(&strings(&["--engine", "replay"]), VALUE_OPTIONS, SWITCHES).unwrap();
-        let err = run(&args, &mut Vec::new()).unwrap_err();
-        assert!(err.to_string().contains("replay"));
-        assert!(err.to_string().contains("reexec"));
+    fn engine_is_not_an_option() {
+        let err =
+            Args::parse(&strings(&["--engine", "trace"]), VALUE_OPTIONS, SWITCHES).unwrap_err();
+        assert!(matches!(&err, CliError::Usage(msg) if msg == "unknown option --engine"));
     }
 
     #[test]
@@ -248,7 +240,11 @@ mod tests {
         run(&args, &mut buffer).unwrap();
         let text = String::from_utf8(buffer).unwrap();
         assert!(text.contains("fig5"));
-        assert!(text.contains("Figure 5"));
+        // `--tables` prints exactly what `render::report` makes of a
+        // default-options run.
+        let tables = render::report(&runner::run(Experiment::Fig5, &SweepOptions::default()));
+        assert!(tables.contains("Figure 5"));
+        assert!(text.contains(&tables), "--tables output:\n{text}");
         let json = std::fs::read_to_string(Path::new(&dir).join("BENCH_fig5.json")).unwrap();
         assert!(json.contains("\"schema\": \"ccrp-bench-sweep/1\""));
         assert!(json.contains("\"weighted_average\""));

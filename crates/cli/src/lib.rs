@@ -83,13 +83,11 @@ COMMANDS:
   workloads [--verify]
       list (and self-check) the paper's benchmark programs
   sweep [--experiment fig5|tables1_8|tables9_10|fig9|tables11_13|all]
-        [--engine trace|reexec] [--codecs] [--jobs N] [--out DIR]
-        [--tables] [--metrics]
+        [--codecs] [--jobs N] [--out DIR] [--tables] [--metrics]
       run the paper experiments across a worker pool and write
-      machine-readable BENCH_<experiment>.json results files; the
-      default trace engine executes each workload once and replays
-      its captured trace for every configuration (--engine reexec
-      re-executes every cell); --codecs runs the codec × memory-model
+      machine-readable BENCH_<experiment>.json results files; each
+      workload executes once and its captured trace is replayed for
+      every configuration; --codecs runs the codec × memory-model
       ablation matrix into BENCH_codecs.json instead; --metrics folds
       probe-derived histograms into each report
   trace-capture <workload|in.s|file.trace> [--out f.trace]

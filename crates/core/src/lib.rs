@@ -67,6 +67,7 @@ mod fault;
 mod image;
 mod lat;
 mod refill;
+mod rng;
 mod snapshot;
 
 pub use budget::{BudgetExhausted, StepBudget};
@@ -81,6 +82,7 @@ pub use refill::{
     DegradePolicy, IntegrityCheck, MemoryTiming, RefillConfig, RefillEngine, RefillEngineSnapshot,
     RefillOutcome,
 };
+pub use rng::SplitMix64;
 pub use snapshot::{
     read_frame, write_frame, ByteReader, ByteWriter, SnapshotError, SnapshotHeader,
     SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC,

@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 
 use ccrp_isa::Reg;
 
-use crate::rng::SplitMix64;
+use ccrp::SplitMix64;
 
 /// Base address of the 256-byte scratch buffer all loads/stores target.
 /// Sits below the default stack (`0x00F0_0000`) in the paper's 24-bit

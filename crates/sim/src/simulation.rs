@@ -1,10 +1,10 @@
 //! The unified simulation entry point.
 //!
-//! [`Simulation`] replaces the old `simulate_standard` / `simulate_ccrp`
-//! × plain / `_probed` / `_budgeted` entry-point matrix with one
-//! builder: a [`SystemConfig`] plus optional probes and an optional
+//! [`Simulation`] is the crate's one way to run a simulation: a
+//! [`SystemConfig`] plus optional probes and an optional
 //! [`StepBudget`], executed over either a live per-fetch trace or a
-//! captured [`AccessTrace`] (see [`SimSource`]).
+//! captured [`AccessTrace`] (see [`SimSource`]). Probing and budgeting
+//! are builder steps, not separate entry points.
 //!
 //! ```
 //! use ccrp::CompressedImage;

@@ -1,7 +1,7 @@
 //! Trace capture/replay integration: the `.trace` container and the
 //! trace-replay sweep engine reproduce direct (live) simulation for the
 //! paper's workloads, and reject corrupted trace files with typed
-//! errors — the properties `ccrp-tools sweep --engine trace` and the
+//! errors — the properties `ccrp-tools sweep` and the
 //! bench gate rest on.
 
 use ccrp::FaultInjector;
