@@ -26,7 +26,7 @@ use ccrp::{read_frame, write_frame, ByteReader, ByteWriter, SnapshotError};
 use ccrp_probe::{Event, Probe};
 
 use crate::machine::Machine;
-use crate::memory::{Memory, PAGE_BYTES};
+use crate::memory::{Memory, PAGE_BYTES, PAGE_COUNT};
 use crate::state::ArchState;
 
 /// Current checkpoint payload format version.
@@ -255,6 +255,12 @@ impl Checkpoint {
         let mut mem = Memory::new();
         for _ in 0..page_count {
             let index = r.read_u32()?;
+            if index >= PAGE_COUNT {
+                return Err(SnapshotError::Malformed {
+                    what: "memory page index",
+                }
+                .into());
+            }
             let bytes = r.take(PAGE_BYTES)?;
             let mut page = [0u8; PAGE_BYTES];
             page.copy_from_slice(bytes);

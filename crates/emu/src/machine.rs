@@ -882,6 +882,8 @@ impl Machine {
             MemOp::Sh => self.state.mem.write_u16(addr, self.reg(rt) as u16),
             MemOp::Sw => self.state.mem.write_u32(addr, self.reg(rt)),
             // Little-endian LWL/LWR/SWL/SWR (unaligned access pairs).
+            // LWL/SWL touch the aligned word's bytes up to `addr`, LWR/SWR
+            // those from `addr` on; neither range leaves the word.
             MemOp::Lwl => {
                 let m = (addr & 3) + 1; // bytes loaded into the TOP of rt
                 let mut v = self.reg(rt);
@@ -889,7 +891,7 @@ impl Machine {
                     let b = self
                         .state
                         .mem
-                        .read_u8(addr - m + 1 + i)
+                        .read_u8((addr & !3).wrapping_add(i))
                         .ok_or(EmuError::UnmappedRead { addr, pc })?;
                     let byte_pos = 4 - m + i;
                     v = (v & !(0xFF << (8 * byte_pos))) | (u32::from(b) << (8 * byte_pos));
@@ -914,7 +916,7 @@ impl Machine {
                 let v = self.reg(rt);
                 for i in 0..m {
                     let byte = (v >> (8 * (4 - m + i))) as u8;
-                    self.state.mem.write_u8(addr - m + 1 + i, byte);
+                    self.state.mem.write_u8((addr & !3).wrapping_add(i), byte);
                 }
             }
             MemOp::Swr => {
@@ -963,7 +965,7 @@ impl Machine {
                         break;
                     }
                     self.state.output.push(b as char);
-                    addr += 1;
+                    addr = addr.wrapping_add(1);
                 }
             }
             5 => {

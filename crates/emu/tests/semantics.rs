@@ -10,11 +10,25 @@ use proptest::prelude::*;
 /// Assembles a fragment that leaves its result in `$v1`, runs it, and
 /// returns the register value.
 fn eval(body: &str) -> u32 {
+    run(body).reg(Reg::V1)
+}
+
+/// Assembles and runs a fragment, returning the exited machine.
+fn run(body: &str) -> Machine {
     let source = format!("main:\n{body}\n li $v0, 10\n syscall\n");
     let image = assemble(&source).expect("fragment assembles");
     let mut machine = Machine::new(&image);
     machine.run(&mut NullSink).expect("fragment runs");
-    machine.reg(Reg::V1)
+    machine
+}
+
+/// The first four text bytes `body` assembles to (text starts at 0).
+fn first_text_bytes(body: &str) -> [u8; 4] {
+    let source = format!("main:\n{body}\n li $v0, 10\n syscall\n");
+    let image = assemble(&source).expect("fragment assembles");
+    let mut bytes = [0; 4];
+    bytes.copy_from_slice(&image.text_bytes()[..4]);
+    bytes
 }
 
 #[test]
@@ -196,6 +210,49 @@ differ:";
         1,
         "single-precision 1/3 widened must differ from double"
     );
+}
+
+#[test]
+fn lwl_swl_at_the_bottom_of_memory() {
+    // Effective addresses 0-3 fall in the aligned word at address 0 (the
+    // first text word); the access must not step below address 0.
+    for offset in 0..4usize {
+        let body = format!("li $v1, 0\n lwl $v1, {offset}($zero)");
+        let text = first_text_bytes(&body);
+        let mut expected = [0u8; 4];
+        expected[3 - offset..].copy_from_slice(&text[..=offset]);
+        assert_eq!(
+            eval(&body),
+            u32::from_le_bytes(expected),
+            "lwl {offset}($zero)"
+        );
+
+        let body = format!("li $t1, 0x11223344\n swl $t1, {offset}($zero)\n lw $v1, 0($zero)");
+        let mut expected = first_text_bytes(&body);
+        expected[..=offset].copy_from_slice(&0x1122_3344u32.to_le_bytes()[3 - offset..]);
+        assert_eq!(
+            eval(&body),
+            u32::from_le_bytes(expected),
+            "swl {offset}($zero)"
+        );
+    }
+}
+
+#[test]
+fn print_string_wraps_past_the_top_of_memory() {
+    // "hi" fills the last two bytes of the address space and the
+    // terminator sits at address 0, so the walk wraps to reach it.
+    let body = "
+        li   $a0, -2
+        li   $t1, 0x68
+        sb   $t1, 0($a0)
+        li   $t1, 0x69
+        sb   $t1, 1($a0)
+        sb   $zero, 0($zero)
+        li   $v0, 4
+        syscall
+    ";
+    assert_eq!(run(body).output(), "hi");
 }
 
 proptest! {

@@ -71,3 +71,38 @@ fn checkpoint_from_another_program_is_refused() {
     assert!(matches!(err, CheckpointError::ProgramMismatch { .. }));
     assert_eq!(machine.arch_state(), &before, "refusal mutated the machine");
 }
+
+/// A well-framed checkpoint naming a memory page no 32-bit address can
+/// reach (index 2²⁰ or more) is rejected as malformed, not stored.
+#[test]
+fn unreachable_page_index_is_rejected() {
+    let pristine = checkpoint_bytes(4, 0);
+    let (header, payload) = ccrp::read_frame(&pristine).expect("pristine frame parses");
+    // A fresh machine: no exit code, empty output and input queue, so
+    // the page count follows the fixed-size register file, pc/next_pc/
+    // brk, the exit tag, the step count and the two zero lengths.
+    let page_count_at = 32 * 4 + 2 * 4 + 32 * 4 + 1 + 3 * 4 + 1 + 8 + 8 + 8;
+    let page_count = u64::from_le_bytes(payload[page_count_at..][..8].try_into().unwrap());
+    assert!(page_count > 0, "a fresh machine maps text and stack");
+    let index_at = page_count_at + 8;
+    assert_eq!(
+        &payload[index_at..][..4],
+        &0u32.to_le_bytes(),
+        "text page 0 comes first"
+    );
+    for index in [1u32 << 20, u32::MAX] {
+        let mut payload = payload.to_vec();
+        payload[index_at..][..4].copy_from_slice(&index.to_le_bytes());
+        let bytes = ccrp::write_frame(header.version, header.fingerprint, &payload);
+        let err = Checkpoint::from_bytes(&bytes).expect_err("unreachable page accepted");
+        assert!(
+            matches!(
+                err,
+                CheckpointError::Snapshot(ccrp::SnapshotError::Malformed {
+                    what: "memory page index"
+                })
+            ),
+            "page index {index:#x}: {err}"
+        );
+    }
+}
